@@ -1,7 +1,7 @@
 # Tier-1 verification plus the doc/formatting gates.  `make check` is
 # what a PR must keep green.
 
-.PHONY: all build test doc fmt-check crash-test serve-test scenario-test chaos-test metrics bench-quick bench-diff docs-check check clean
+.PHONY: all build test doc fmt-check crash-test serve-test scenario-test chaos-test metrics bench-quick bench-diff perf-smoke docs-check check clean
 
 all: build
 
@@ -87,6 +87,21 @@ MIN_SECONDS ?= 0.0005
 bench-diff:
 	dune exec bench/diff.exe -- $(OLD) $(NEW) \
 	  --threshold $(THRESHOLD) --min-seconds $(MIN_SECONDS)
+
+# Smoke run of the repository benchmark (perfbench/README.md): every
+# workload listed in BENCHMARK.json for 2 s, untraced.  Fails when a run
+# fails or reports a wrong answer ("correct":false: perfbench then exits
+# non-zero).  A smoke run checks answers, not speed: 2 s figures are far
+# too noisy to compare.
+PERF_WORKLOADS = $(shell python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+perf-smoke:
+	@for w in $(PERF_WORKLOADS); do \
+	  echo "perf-smoke: $$w"; \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0) \
+	    || { echo "$$out"; echo "perf-smoke: $$w failed"; exit 1; }; \
+	  echo "$$out" | grep -E '^(setup_s|ops_per_s|lat_p50_ms|error_frac) '; \
+	done
+	@echo "perf-smoke: every listed workload answered correctly"
 
 # Docs drift gate (see scripts/docs_check.sh): every docs/*.md guide
 # must be linked from README.md, and the op table in docs/SERVING.md

@@ -334,12 +334,22 @@ let load_file ~schemas path =
 (* ------------------------------------------------------------------ *)
 (* Serialisation.                                                      *)
 
+(* The lexer reads a real as digits with a decimal point and no
+   exponent, so a real is printed with the fewest decimals (at least
+   one) that read back as the same float.  Where ["%g"] already read
+   back this gives the same bytes.  NaN and the infinities have no such
+   spelling and keep the one ["%g"] gives them. *)
+let real_to_syntax x =
+  let rec decimals d =
+    let s = Printf.sprintf "%.*f" d x in
+    if Float.equal (float_of_string s) x then s else decimals (d + 1)
+  in
+  if Float.is_finite x then decimals 1 else Printf.sprintf "%g.0" x
+
 let value_to_syntax = function
   | Value.Str s -> "\"" ^ s ^ "\""
   | Value.Int n -> string_of_int n
-  | Value.Real x ->
-      let s = Printf.sprintf "%g" x in
-      if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+  | Value.Real x -> real_to_syntax x
   | Value.Bool b -> string_of_bool b
   | Value.Date (y, m, d) -> Printf.sprintf "%04d-%02d-%02d" y m d
   | Value.Null -> "null"

@@ -10,70 +10,130 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printing.                                                           *)
 
+let hex = "0123456789abcdef"
+
+(* Strings are copied a run at a time: only the bytes that need an
+   escape are written one by one. *)
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 15]
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
-let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    (* keep a decimal point so the value round-trips as a float *)
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
+(* The digits of [n <= 0], most significant first; working on the
+   negative side covers [min_int]. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
+(* A float is printed as ["%.1f"] when it is an integer below 1e15 (the
+   decimal point keeps it a float when read back) and as ["%.9g"]
+   otherwise.  Fast path: when 0.01 <= |f| < 1e6 and f has at most two
+   decimals ([round (f * 100) / 100 = f]), both formats give that exact
+   decimal with trailing zeros dropped (but one kept after the point),
+   which is written here without [Printf].  Every other float pays the
+   check and then goes through [Printf].  The fast path pays off only on
+   data whose reals have that shape; docs/PERFORMANCE.md gives the
+   share on each benchmark workload. *)
+let add_float buf f =
+  let a = Float.abs f in
+  let cents = Float.round (a *. 100.) in
+  if a >= 0.01 && a < 1e6 && cents /. 100. = a then begin
+    let cents = int_of_float cents in
+    if f < 0. then Buffer.add_char buf '-';
+    add_digits buf (-(cents / 100));
+    Buffer.add_char buf '.';
+    let frac = cents mod 100 in
+    Buffer.add_char buf (Char.unsafe_chr (48 + (frac / 10)));
+    if frac mod 10 <> 0 then
+      Buffer.add_char buf (Char.unsafe_chr (48 + (frac mod 10)))
+  end
+  else if Float.is_integer f && a < 1e15 then
+    Buffer.add_string buf (Printf.sprintf "%.1f" f)
+  else Buffer.add_string buf (Printf.sprintf "%.9g" f)
+
+(* [indent] is [None] for one-line output; [level] is the nesting depth. *)
+let newline buf indent level =
+  match indent with
+  | None -> ()
+  | Some n ->
+      Buffer.add_char buf '\n';
+      for _ = 1 to n * level do
+        Buffer.add_char buf ' '
+      done
+
+let rec add_value buf indent level = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> add_int buf i
+  | Float f -> add_float buf f
+  | String s -> escape_to buf s
+  | List [] -> Buffer.add_string buf "[]"
+  | List (item :: items) ->
+      Buffer.add_char buf '[';
+      newline buf indent (level + 1);
+      add_value buf indent (level + 1) item;
+      add_items buf indent level items;
+      newline buf indent level;
+      Buffer.add_char buf ']'
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (field :: fields) ->
+      Buffer.add_char buf '{';
+      add_field buf indent level field;
+      add_fields buf indent level fields;
+      newline buf indent level;
+      Buffer.add_char buf '}'
+
+and add_items buf indent level = function
+  | [] -> ()
+  | item :: items ->
+      Buffer.add_char buf ',';
+      newline buf indent (level + 1);
+      add_value buf indent (level + 1) item;
+      add_items buf indent level items
+
+and add_field buf indent level (k, v) =
+  newline buf indent (level + 1);
+  escape_to buf k;
+  Buffer.add_char buf ':';
+  if indent <> None then Buffer.add_char buf ' ';
+  add_value buf indent (level + 1) v
+
+and add_fields buf indent level = function
+  | [] -> ()
+  | field :: fields ->
+      Buffer.add_char buf ',';
+      add_field buf indent level field;
+      add_fields buf indent level fields
 
 let to_string ?indent v =
   let buf = Buffer.create 256 in
-  let nl level =
-    match indent with
-    | None -> ()
-    | Some n ->
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (String.make (n * level) ' ')
-  in
-  let rec go level = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> Buffer.add_string buf (float_to_string f)
-    | String s -> escape_to buf s
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            nl (level + 1);
-            go (level + 1) item)
-          items;
-        nl level;
-        Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, item) ->
-            if i > 0 then Buffer.add_char buf ',';
-            nl (level + 1);
-            escape_to buf k;
-            Buffer.add_char buf ':';
-            if indent <> None then Buffer.add_char buf ' ';
-            go (level + 1) item)
-          fields;
-        nl level;
-        Buffer.add_char buf '}'
-  in
-  go 0 v;
+  add_value buf indent 0 v;
   Buffer.contents buf
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)

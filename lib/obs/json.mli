@@ -7,9 +7,10 @@
     [obs] adds no third-party dependency to the build.
 
     Printing is deterministic: object fields are emitted in the order
-    given, floats with ["%.9g"], and strings with the escapes required
-    by RFC 8259.  [of_string] accepts any document this module prints
-    (and standard JSON generally, including [\uXXXX] escapes). *)
+    given, integral floats below 1e15 as ["%.1f"] prints them and other
+    floats as ["%.9g"] does, and strings with the escapes required by
+    RFC 8259.  [of_string] accepts any document this module prints (and
+    standard JSON generally, including [\uXXXX] escapes). *)
 
 type t =
   | Null

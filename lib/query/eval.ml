@@ -58,12 +58,14 @@ let position_for schema rel cls ~exclude =
   in
   look 0 rel.Relationship.participants
 
-let project schema cls oid store select =
-  let attrs =
-    match select with
-    | [] -> Attribute.names (Schema.all_attributes schema cls)
-    | names -> names
-  in
+(* The columns a select list stands for: an empty list is the class's
+   full (inherited-first) attribute list.  Computed once per query, not
+   once per answer row. *)
+let columns schema cls = function
+  | [] -> Attribute.names (Schema.all_attributes schema cls)
+  | names -> names
+
+let project attrs oid store =
   List.fold_left
     (fun row a -> Name.Map.add a (Instance.Store.value oid a store) row)
     Name.Map.empty attrs
@@ -89,12 +91,13 @@ let run_unobserved q store =
         ignore cls;
         eval_pred (fun a -> Instance.Store.value oid a store) p
   in
+  let from_attrs = columns schema q.Ast.from_class q.Ast.select in
   match q.Ast.via with
   | None ->
       Instance.Store.Oid.Set.fold
         (fun oid acc ->
           if passes q.Ast.from_class oid q.Ast.where then
-            project schema q.Ast.from_class oid store q.Ast.select :: acc
+            project from_attrs oid store :: acc
           else acc)
         extent []
       |> List.rev
@@ -133,6 +136,7 @@ let run_unobserved q store =
               (Name.to_string j.Ast.rel) (Name.to_string n))
         j.Ast.rel_select;
       let target_extent = Instance.Store.extent j.Ast.target store in
+      let target_attrs = columns schema j.Ast.target j.Ast.target_select in
       let prefix a =
         Name.v (Name.to_string j.Ast.target ^ "_" ^ Name.to_string a)
       in
@@ -149,10 +153,8 @@ let run_unobserved q store =
             && passes q.Ast.from_class oid_f q.Ast.where
             && passes j.Ast.target oid_t j.Ast.target_where
           then begin
-            let base = project schema q.Ast.from_class oid_f store q.Ast.select in
-            let trow =
-              project schema j.Ast.target oid_t store j.Ast.target_select
-            in
+            let base = project from_attrs oid_f store in
+            let trow = project target_attrs oid_t store in
             let with_target =
               Name.Map.fold
                 (fun a v acc -> Name.Map.add (prefix a) v acc)
@@ -196,16 +198,7 @@ let same_answers a b =
   let sort rows = List.sort compare (List.map Name.Map.bindings rows) in
   sort a = sort b
 
-let project_rows cols rows =
-  List.map
-    (fun r ->
-      Name.Map.filter (fun k _ -> List.exists (Name.equal k) cols) r)
-    rows
-
 let matches = eval_pred
-let project_entity = project
 
-let rename_columns f rows =
-  List.map
-    (fun r -> Name.Map.fold (fun k v acc -> Name.Map.add (f k) v acc) r Name.Map.empty)
-    rows
+let project_entity schema cls oid store select =
+  project (columns schema cls select) oid store

@@ -46,8 +46,3 @@ val pp_row : Format.formatter -> row -> unit
 
 val same_answers : row list -> row list -> bool
 (** Multiset equality of answers. *)
-
-val project_rows : Ecr.Name.t list -> row list -> row list
-(** Keeps only the given columns in each row. *)
-
-val rename_columns : (Ecr.Name.t -> Ecr.Name.t) -> row list -> row list

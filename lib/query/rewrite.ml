@@ -42,6 +42,14 @@ let rename_for_view mapping view cls a =
       | None -> a)
   | None -> a
 
+(* [rename_row m r]: the columns of [r] renamed by [m]; a column [m]
+   does not mention keeps its name. *)
+let rename_row m r =
+  Name.Map.fold
+    (fun k v acc ->
+      Name.Map.add (Option.value ~default:k (Name.Map.find_opt k m)) v acc)
+    r Name.Map.empty
+
 let h_rewrite = Obs.Histogram.make "query.rewrite_seconds"
 let h_unfold = Obs.Histogram.make "query.unfold_seconds"
 let c_rewrites = Obs.Counter.make "query.rewrites"
@@ -61,7 +69,7 @@ let to_integrated mapping ~view q =
   let where' = Option.map (Ast.rename_pred rename) q.Ast.where in
   let via', back_target =
     match q.Ast.via with
-    | None -> (None, fun _ -> None)
+    | None -> (None, Name.Map.empty)
     | Some j ->
         let rel_entry = rel_entry_exn mapping (Qname.make schema_name j.Ast.rel) in
         let target_entry =
@@ -116,17 +124,13 @@ let to_integrated mapping ~view q =
                 Option.map (Ast.rename_pred trename) j.Ast.target_where;
               target_select = tselect';
             },
-          fun n -> Name.Map.find_opt n back )
+          back )
   in
-  let back_map =
+  (* the from-class columns take precedence over the joined ones *)
+  let back =
     List.fold_left2
       (fun acc original renamed -> Name.Map.add renamed original acc)
-      Name.Map.empty select select'
-  in
-  let back n =
-    match Name.Map.find_opt n back_map with
-    | Some o -> o
-    | None -> ( match back_target n with Some o -> o | None -> n)
+      back_target select select'
   in
   let q' =
     {
@@ -136,7 +140,7 @@ let to_integrated mapping ~view q =
       via = via';
     }
   in
-  (q', Eval.rename_columns back)
+  (q', List.map (rename_row back))
 
 (* ------------------------------------------------------------------ *)
 (* Integrated -> components.                                           *)
@@ -146,6 +150,22 @@ type component_query = {
   query : Ast.t;
   post : Eval.row list -> Eval.row list;
 }
+
+(* A component answer becomes integrated columns in one fold per row:
+   [columns] maps each component column the caller wants to its
+   integrated name, every other component column is dropped, and [nulls]
+   holds the wanted columns the component cannot supply.  Both are built
+   once per query.  The three column groups (from-class, target- and
+   relationship-prefixed) have names of their own on both sides, so one
+   map covers them all. *)
+let post_rows ~columns ~nulls =
+  List.map (fun r ->
+      Name.Map.fold
+        (fun k v acc ->
+          match Name.Map.find_opt k columns with
+          | Some col -> Name.Map.add col v acc
+          | None -> acc)
+        r nulls)
 
 (* Component object classes whose extent contributes to [cls]: mapped to
    [cls] itself or to any of its descendants in the integrated schema. *)
@@ -196,7 +216,7 @@ let to_components mapping ~integrated q =
       let comp_where = Option.map (rewrite_pred_back reverse) q.Ast.where in
       let via_result =
         match q.Ast.via with
-        | None -> Some (None, fun rows -> rows)
+        | None -> Some (None, Name.Map.empty, [])
         | Some j -> (
             (* both the relationship and the target class must be mapped
                from this same component schema *)
@@ -233,21 +253,11 @@ let to_components mapping ~integrated q =
                 let comp_prefix a =
                   Name.v (Name.to_string comp_target ^ "_" ^ Name.to_string a)
                 in
-                let rename_back =
+                let target_columns =
                   List.fold_left2
                     (fun acc int_a comp_a ->
                       Name.Map.add (comp_prefix comp_a) (int_prefix int_a) acc)
                     Name.Map.empty tavailable tselect
-                in
-                let post rows =
-                  rows
-                  |> Eval.rename_columns (fun n ->
-                         Option.value ~default:n (Name.Map.find_opt n rename_back))
-                  |> List.map (fun r ->
-                         List.fold_left
-                           (fun r a ->
-                             Name.Map.add (int_prefix a) Instance.Value.Null r)
-                           r tmissing)
                 in
                 let rreverse = reverse_attr_map rel_e in
                 let ravailable, rmissing =
@@ -266,24 +276,12 @@ let to_components mapping ~integrated q =
                     (Name.to_string rel_e.Integrate.Mapping.source.Qname.obj
                     ^ "_" ^ Name.to_string a)
                 in
-                let rel_rename_back =
+                let columns =
                   List.fold_left2
                     (fun acc int_a comp_a ->
                       Name.Map.add (comp_rel_prefix comp_a)
                         (int_rel_prefix int_a) acc)
-                    Name.Map.empty ravailable rselect
-                in
-                let post rows =
-                  rows |> post
-                  |> Eval.rename_columns (fun n ->
-                         Option.value ~default:n
-                           (Name.Map.find_opt n rel_rename_back))
-                  |> List.map (fun r ->
-                         List.fold_left
-                           (fun r a ->
-                             Name.Map.add (int_rel_prefix a)
-                               Instance.Value.Null r)
-                           r rmissing)
+                    target_columns ravailable rselect
                 in
                 Some
                   ( Some
@@ -296,45 +294,23 @@ let to_components mapping ~integrated q =
                             j.Ast.target_where;
                         target_select = tselect;
                       },
-                    post )
+                    columns,
+                    List.map int_prefix tmissing
+                    @ List.map int_rel_prefix rmissing )
             | _ -> None)
       in
       match via_result with
       | None -> None
-      | Some (via, via_post) ->
-          let rename_back =
+      | Some (via, via_columns, via_missing) ->
+          let columns =
             List.fold_left2
               (fun acc int_a comp_a -> Name.Map.add comp_a int_a acc)
-              Name.Map.empty available comp_select
+              via_columns available comp_select
           in
-          (* the columns the caller expects: the wanted attributes plus,
-             for joined queries, the prefixed target/relationship ones *)
-          let expected =
-            wanted
-            @ (match q.Ast.via with
-              | None -> []
-              | Some j ->
-                  let twanted =
-                    expand_select integrated j.Ast.target j.Ast.target_select
-                  in
-                  List.map
-                    (fun a ->
-                      Name.v (Name.to_string j.Ast.target ^ "_" ^ Name.to_string a))
-                    twanted
-                  @ List.map
-                      (fun a ->
-                        Name.v (Name.to_string j.Ast.rel ^ "_" ^ Name.to_string a))
-                      j.Ast.rel_select)
-          in
-          let post rows =
-            rows |> via_post
-            |> Eval.rename_columns (fun n ->
-                   Option.value ~default:n (Name.Map.find_opt n rename_back))
-            |> List.map (fun r ->
-                   List.fold_left
-                     (fun r a -> Name.Map.add a Instance.Value.Null r)
-                     r missing)
-            |> Eval.project_rows expected
+          let nulls =
+            List.fold_left
+              (fun acc a -> Name.Map.add a Instance.Value.Null acc)
+              Name.Map.empty (via_missing @ missing)
           in
           Some
             {
@@ -346,9 +322,29 @@ let to_components mapping ~integrated q =
                   select = comp_select;
                   via;
                 };
-              post;
+              post = post_rows ~columns ~nulls;
             })
     entries
+
+(* Rows as hash keys under [Value.equal] column by column.  The hash
+   must agree with that equality: [Int i] equals [Real (float i)], so
+   ints hash as their float, and [Hashtbl.hash] already maps both zeros
+   and every NaN alike, as [Float.equal] does. *)
+module Row_set = Hashtbl.Make (struct
+  type t = Eval.row
+
+  let equal = Name.Map.equal Instance.Value.equal
+
+  let hash_value = function
+    | Instance.Value.Int i -> Hashtbl.hash (float_of_int i)
+    | Instance.Value.Real f -> Hashtbl.hash f
+    | v -> Hashtbl.hash v
+
+  let hash r =
+    Name.Map.fold
+      (fun k v h -> (h * 31 + Name.hash k) * 31 + hash_value v)
+      r 0
+end)
 
 let run_components parts ~stores =
   (* Within one component, a class whose extent is already covered by a
@@ -379,14 +375,14 @@ let run_components parts ~stores =
           | Some store -> part.post (Eval.run part.query store))
       parts
   in
-  (* outer-union: exact duplicates collapse *)
-  let seen = Hashtbl.create 64 in
+  (* outer-union: a row equal to an earlier one, column by column,
+     collapses into it *)
+  let seen = Row_set.create 64 in
   List.filter
     (fun r ->
-      let key = Eval.row_to_string r in
-      if Hashtbl.mem seen key then false
+      if Row_set.mem seen r then false
       else begin
-        Hashtbl.add seen key ();
+        Row_set.replace seen r ();
         true
       end)
     all

@@ -72,9 +72,12 @@ val run_global :
   Ast.t ->
   Eval.row list
 (** Unfolds, evaluates each component query on its store, and returns
-    the outer-union of the answers (exact duplicate rows removed — the
-    same real-world entity reported by two components appears once when
-    the components agree on the projected attributes). *)
+    the outer-union of the answers.  A row is a duplicate when
+    [Instance.Value.equal] holds column by column with an earlier row
+    ([Int 1] and [Real 1.0] are equal); duplicates are dropped and the
+    first occurrence keeps its position — the same real-world entity
+    reported by two components appears once when the components agree
+    on the projected attributes. *)
 
 val covers : Eval.row list -> Eval.row list -> bool
 (** [covers supers subs]: every row of [subs] is matched by some row of

@@ -1679,11 +1679,17 @@ let handle_conn t conn_id fd =
   Obs.Counter.incr c_connections;
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let write s = match output_string oc s; flush oc with
+  let send f = match f (); flush oc with
     | () -> true
     | exception Sys_error _ -> false
   in
-  let write_json v = write (Obs.Json.to_string v ^ "\n") in
+  let write s = send (fun () -> output_string oc s) in
+  let write_json v =
+    let s = Obs.Json.to_string v in
+    send (fun () ->
+        output_string oc s;
+        output_char oc '\n')
+  in
   let write_bin v = write (Wire.encode_bin Wire.Response v) in
   let rec json_loop line =
     if write_json (handle_request t (Wire.request_of_line line)) then

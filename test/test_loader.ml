@@ -23,6 +23,66 @@ let load () =
   Instance.Loader.load_string ~schemas:[ Workload.Paper.sc1; Workload.Paper.sc2 ]
     sample
 
+(* One student with [GPA = gpa], through [to_string] and back. *)
+let reload_gpa gpa =
+  let st = S.create Workload.Paper.sc1 in
+  let st, _ =
+    S.insert (Name.v "Student") (S.tuple [ ("Name", V.str "Ann"); ("GPA", V.real gpa) ]) st
+  in
+  let text = Instance.Loader.to_string Workload.Paper.sc1 st in
+  match Instance.Loader.load_string ~schemas:[ Workload.Paper.sc1 ] text with
+  | [ (_, st') ] -> (
+      match Query.Eval.run (Query.Ast.query "Student" ~select:[ "GPA" ]) st' with
+      | [ row ] -> (text, Name.Map.find (Name.v "GPA") row)
+      | _ -> Alcotest.fail "expected one student")
+  | _ -> Alcotest.fail "expected one store"
+
+(* finite floats of every magnitude, and the short decimals data holds *)
+let finite_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map Int64.float_of_bits ui64);
+        (2, map (fun n -> float_of_int n /. 100.) (int_range (-100_000_000) 100_000_000));
+        ( 1,
+          map2
+            (fun m e -> float_of_int m *. (10. ** float_of_int e))
+            (int_range (-9_999_999) 9_999_999) (int_range (-30) 30) );
+      ]
+    >|= fun x -> if Float.is_finite x then x else 0.5)
+
+let real_tests =
+  [
+    tc "reals %g would round or spell with an exponent load back exactly" (fun () ->
+        List.iter
+          (fun (gpa, spelled) ->
+            let text, v = reload_gpa gpa in
+            check Alcotest.bool (spelled ^ " written") true
+              (Util.contains ~needle:("GPA = " ^ spelled ^ ",") text);
+            check Alcotest.bool (spelled ^ " read back") true
+              (v = V.Real gpa))
+          [
+            (1000003.5, "1000003.5");
+            (123456.5, "123456.5");
+            (1e-5, "0.00001");
+            (-2.5e7, "-25000000.0");
+            (0.1 +. 0.2, "0.30000000000000004");
+          ]);
+    tc "reals %g already spelled exactly keep their bytes" (fun () ->
+        List.iter
+          (fun (gpa, spelled) ->
+            let text, _ = reload_gpa gpa in
+            check Alcotest.bool spelled true (Util.contains ~needle:("GPA = " ^ spelled ^ ",") text))
+          [ (3.9, "3.9"); (100., "100.0"); (0.5, "0.5"); (-0.0, "-0.0"); (123456., "123456.0") ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000 ~name:"every finite real round-trips through the text"
+         (QCheck.make ~print:(Printf.sprintf "%h") finite_float)
+         (fun x ->
+           match reload_gpa x with
+           | _, V.Real y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+           | _ -> false));
+  ]
+
 let tests =
   [
     tc "entities and links load" (fun () ->
@@ -142,4 +202,4 @@ instance sc2 {
         check Alcotest.int "clean" 0 (List.length (S.check merged)));
   ]
 
-let () = Alcotest.run "loader" [ ("loader", tests) ]
+let () = Alcotest.run "loader" [ ("loader", tests); ("reals", real_tests) ]

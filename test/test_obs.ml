@@ -207,6 +207,236 @@ let json_tests =
                      (Result.get_ok (Obs.Json.of_string (Obs.Json.to_string doc))))));
   ]
 
+(* ---- the printer against its previous implementation -------------- *)
+
+(* The JSON printer as it was before it wrote numbers and strings
+   itself, kept here as the oracle: every byte of a response, a report
+   or a transcript must stay the same. *)
+module Oracle = struct
+  let escape_to buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let float_to_string f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else Printf.sprintf "%.9g" f
+
+  let to_string ?indent v =
+    let buf = Buffer.create 256 in
+    let nl level =
+      match indent with
+      | None -> ()
+      | Some n ->
+          Buffer.add_char buf '\n';
+          Buffer.add_string buf (String.make (n * level) ' ')
+    in
+    let rec go level = function
+      | Obs.Json.Null -> Buffer.add_string buf "null"
+      | Obs.Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Obs.Json.Int i -> Buffer.add_string buf (string_of_int i)
+      | Obs.Json.Float f -> Buffer.add_string buf (float_to_string f)
+      | Obs.Json.String s -> escape_to buf s
+      | Obs.Json.List [] -> Buffer.add_string buf "[]"
+      | Obs.Json.List items ->
+          Buffer.add_char buf '[';
+          List.iteri
+            (fun i item ->
+              if i > 0 then Buffer.add_char buf ',';
+              nl (level + 1);
+              go (level + 1) item)
+            items;
+          nl level;
+          Buffer.add_char buf ']'
+      | Obs.Json.Obj [] -> Buffer.add_string buf "{}"
+      | Obs.Json.Obj fields ->
+          Buffer.add_char buf '{';
+          List.iteri
+            (fun i (k, item) ->
+              if i > 0 then Buffer.add_char buf ',';
+              nl (level + 1);
+              escape_to buf k;
+              Buffer.add_char buf ':';
+              if indent <> None then Buffer.add_char buf ' ';
+              go (level + 1) item)
+            fields;
+          nl level;
+          Buffer.add_char buf '}'
+    in
+    go 0 v;
+    Buffer.contents buf
+end
+
+let qtest ?(count = 1000) name arb prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
+let prints_as_oracle v =
+  String.equal (Obs.Json.to_string v) (Oracle.to_string v)
+
+(* Floats from every region the printer treats differently: raw bit
+   patterns (NaNs, infinities, subnormals), exact cents and their
+   neighbours one ulp away, x.xx5 values that fall halfway, integers,
+   and wide decimal exponents. *)
+let float_gen =
+  QCheck.Gen.(
+    let cents = int_range (-100_000_000) 100_000_000 in
+    frequency
+      [
+        (3, map Int64.float_of_bits ui64);
+        (3, map (fun n -> float_of_int n /. 100.) cents);
+        (1, map (fun n -> Float.succ (float_of_int n /. 100.)) cents);
+        (1, map (fun n -> Float.pred (float_of_int n /. 100.)) cents);
+        (2, map (fun n -> float_of_int ((10 * n) + 5) /. 1000.) cents);
+        (1, map float_of_int (int_range (-2_000_000) 2_000_000));
+        (1, float_range (-2e6) 2e6);
+        ( 1,
+          map2
+            (fun m e -> float_of_int m *. (10. ** float_of_int e))
+            (int_range (-99_999) 99_999) (int_range (-20) 20) );
+      ])
+
+let float_edges =
+  [
+    0.0; -0.0; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity;
+    0.01; -0.01; 0.009999999999999998; 0.015; 0.005; 0.125; 1.005; 2.675;
+    999999.995; 999999.99; -999999.99; 1e6; -1e6; Float.pred 1e6; 1e15;
+    Float.pred 1e15; 1e16; 0.1 +. 0.2; 4.94e-324; Float.min_float;
+    Float.min_float /. 2.; Float.max_float; float_of_int max_int;
+    float_of_int min_int;
+  ]
+
+let string_gen =
+  QCheck.Gen.(
+    string_size ~gen:(frequency [ (3, char); (1, oneofl [ '"'; '\\'; '\n'; '\t' ]); (1, map Char.chr (int_bound 0x1f)) ])
+      (int_bound 40))
+
+let rec json_gen n =
+  QCheck.Gen.(
+    let leaf =
+      oneof
+        [
+          return Obs.Json.Null;
+          map (fun b -> Obs.Json.Bool b) bool;
+          map (fun i -> Obs.Json.Int i) int;
+          map (fun f -> Obs.Json.Float f) float_gen;
+          map (fun s -> Obs.Json.String s) string_gen;
+        ]
+    in
+    if n <= 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 4) (json_gen (n / 2))));
+          ( 1,
+            map
+              (fun l -> Obs.Json.Obj l)
+              (list_size (int_bound 4) (pair string_gen (json_gen (n / 2)))) );
+        ])
+
+(* A document with every kind of value, as the old printer printed it. *)
+let golden_doc =
+  Obs.Json.Obj
+    [
+      ("name", Obs.Json.String "a \"q\"\\ \n\t\r\x01\x1f\x7f \xc3\xa9");
+      ( "ints",
+        Obs.Json.List
+          [ Obs.Json.Int 0; Obs.Json.Int (-7); Obs.Json.Int max_int; Obs.Json.Int min_int ]
+      );
+      ( "floats",
+        Obs.Json.List
+          (List.map
+             (fun f -> Obs.Json.Float f)
+             [
+               0.0; -0.0; 0.5; -12.25; 3.0; 0.01; 0.015; 999999.99; 1e6; 123456.789;
+               1e15; 1e-7; Float.nan; Float.infinity; Float.neg_infinity; 0.1 +. 0.2;
+             ]) );
+      ("empty", Obs.Json.Obj [ ("l", Obs.Json.List []); ("o", Obs.Json.Obj []) ]);
+      ("flags", Obs.Json.List [ Obs.Json.Bool true; Obs.Json.Bool false; Obs.Json.Null ]);
+    ]
+
+let golden_line =
+  {|{"name":"a \"q\"\\ \n\t\r\u0001\u001f|} ^ "\x7f \xc3\xa9"
+  ^ {|","ints":[0,-7,4611686018427387903,-4611686018427387904],"floats":[0.0,-0.0,0.5,-12.25,3.0,0.01,0.015,999999.99,1000000.0,123456.789,1e+15,1e-07,nan,inf,-inf,0.3],"empty":{"l":[],"o":{}},"flags":[true,false,null]}|}
+
+let golden_indented =
+  String.concat "\n"
+    [
+      "{";
+      {|  "name": "a \"q\"\\ \n\t\r\u0001\u001f|} ^ "\x7f \xc3\xa9\",";
+      {|  "ints": [|};
+      "    0,";
+      "    -7,";
+      "    4611686018427387903,";
+      "    -4611686018427387904";
+      "  ],";
+      {|  "floats": [|};
+      "    0.0,"; "    -0.0,"; "    0.5,"; "    -12.25,"; "    3.0,"; "    0.01,";
+      "    0.015,"; "    999999.99,"; "    1000000.0,"; "    123456.789,";
+      "    1e+15,"; "    1e-07,"; "    nan,"; "    inf,"; "    -inf,"; "    0.3";
+      "  ],";
+      {|  "empty": {|};
+      {|    "l": [],|};
+      {|    "o": {}|};
+      "  },";
+      {|  "flags": [|};
+      "    true,";
+      "    false,";
+      "    null";
+      "  ]";
+      "}";
+    ]
+
+let printer_tests =
+  [
+    qtest ~count:100_000 "floats print as \"%.1f\"/\"%.9g\" did"
+      (QCheck.make ~print:(Printf.sprintf "%h") float_gen)
+      (fun f -> String.equal (Obs.Json.to_string (Obs.Json.Float f)) (Oracle.float_to_string f));
+    tc "edge-case floats print as before" (fun () ->
+        List.iter
+          (fun f ->
+            check Alcotest.string (Printf.sprintf "%h" f) (Oracle.float_to_string f)
+              (Obs.Json.to_string (Obs.Json.Float f)))
+          float_edges);
+    qtest ~count:20_000 "ints print as string_of_int"
+      (QCheck.make
+         QCheck.Gen.(oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int; 0 ] ]))
+      (fun i -> String.equal (Obs.Json.to_string (Obs.Json.Int i)) (string_of_int i));
+    qtest ~count:20_000 "strings escape as before"
+      (QCheck.make ~print:String.escaped string_gen)
+      (fun s -> prints_as_oracle (Obs.Json.String s));
+    qtest ~count:5_000 "documents print as before, flat and indented"
+      (QCheck.make ~print:Obs.Json.to_string (json_gen 8))
+      (fun v ->
+        prints_as_oracle v
+        && String.equal (Obs.Json.to_string ~indent:2 v) (Oracle.to_string ~indent:2 v));
+    tc "golden document" (fun () ->
+        check Alcotest.string "one line" golden_line (Obs.Json.to_string golden_doc);
+        check Alcotest.string "indented" golden_indented
+          (Obs.Json.to_string ~indent:2 golden_doc));
+    tc "report text is unchanged"
+      (with_fresh (fun () ->
+           Obs.Counter.add (Obs.Counter.make "test.golden_counter") 7;
+           let h = Obs.Histogram.make "test.golden_histo" in
+           List.iter (Obs.Histogram.observe h) [ 0.002; 0.5; 12.25 ];
+           Obs.Span.run "test.golden_span" (fun () -> ());
+           let meta = [ ("seed", Obs.Json.Int 42); ("ratio", Obs.Json.Float 0.1) ] in
+           check Alcotest.string "report"
+             (Oracle.to_string ~indent:2 (Obs.Report.to_json ~meta ()))
+             (Obs.Report.to_string ~meta ())));
+  ]
+
 let disabled_tests =
   [
     tc "disabled instrumentation changes no observable state"
@@ -263,5 +493,6 @@ let () =
       ("histograms", histogram_tests);
       ("spans", span_tests);
       ("json", json_tests);
+      ("printer", printer_tests);
       ("disabled", disabled_tests);
     ]

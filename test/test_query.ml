@@ -292,6 +292,73 @@ let rewrite_tests =
             check Alcotest.int "only the requested column" 1
               (Name.Map.cardinal row)
         | _ -> Alcotest.fail "unexpected shape");
+    tc "outer-union keeps rows whose reals differ past six digits" (fun () ->
+        (* Rows are duplicates only when [Value.equal] holds column by
+           column.  3.9000001 and 3.9000002 print alike with "%g", which
+           once collapsed Ann's two rows into one; [Int 4] and
+           [Real 4.0] are equal and still collapse, into the first. *)
+        let r = Lazy.force paper in
+        let student st name gpa =
+          fst (S.insert (Name.v "Student") (S.tuple [ ("Name", V.str name); ("GPA", gpa) ]) st)
+        in
+        let grad st name gpa =
+          fst
+            (S.insert (Name.v "Grad_student")
+               (S.tuple [ ("Name", V.str name); ("GPA", gpa) ])
+               st)
+        in
+        let st1 = S.create Workload.Paper.sc1 in
+        let st1 = student st1 "Ann" (V.real 3.9000001) in
+        let st1 = student st1 "Ben" (V.int 4) in
+        let st1 = student st1 "Cyd" (V.real 2.5) in
+        let st2 = S.create Workload.Paper.sc2 in
+        let st2 = grad st2 "Ann" (V.real 3.9000002) in
+        let st2 = grad st2 "Ben" (V.real 4.0) in
+        let st2 = grad st2 "Dee" (V.real 3.0) in
+        let rows =
+          Query.Rewrite.run_global r.Integrate.Result.mapping
+            ~integrated:r.Integrate.Result.schema
+            ~stores:[ (Name.v "sc1", st1); (Name.v "sc2", st2) ]
+            Query.Ast.(query "Student" ~select:[ "D_Name"; "D_GPA" ])
+        in
+        let row name gpa = [ (Name.v "D_GPA", gpa); (Name.v "D_Name", V.str name) ] in
+        check Alcotest.bool "both Ann rows; Ben once, as sc1 reported him" true
+          (List.map Name.Map.bindings rows
+          = [
+              row "Ann" (V.real 3.9000001);
+              row "Ben" (V.int 4);
+              row "Cyd" (V.real 2.5);
+              row "Ann" (V.real 3.9000002);
+              row "Dee" (V.real 3.0);
+            ]));
+    tc "joined global query pads and renames in one pass" (fun () ->
+        let r, st1, st2, _, _ = migrated () in
+        let rows =
+          Query.Rewrite.run_global r.Integrate.Result.mapping
+            ~integrated:r.Integrate.Result.schema
+            ~stores:[ (Name.v "sc1", st1); (Name.v "sc2", st2) ]
+            Query.Ast.(
+              query "Student" ~select:[ "D_Name"; "D_GPA"; "Support_type" ]
+                ~via:
+                  (join "E_Stud_Majo" "E_Department" ~rel_select:[ "D_Since" ]
+                     ~target_select:[ "D_Name" ]))
+        in
+        let row name gpa dept since support =
+          Printf.sprintf
+            "{D_GPA=%s, D_Name=\"%s\", E_Department_D_Name=\"%s\", \
+             E_Stud_Majo_D_Since=%s, Support_type=%s}"
+            gpa name dept since support
+        in
+        check
+          Alcotest.(list string)
+          "sc1's rows padded with a Null Support_type, then sc2's"
+          [
+            row "Ann" "3.9" "CS" "2020-09-01" "null";
+            row "Ben" "2.5" "EE" "2021-09-01" "null";
+            row "Cyd" "3.2" "CS" "2022-09-01" "null";
+            row "Ann" "3.9" "CS" "2020-09-01" "\"RA\"";
+          ]
+          (List.map Query.Eval.row_to_string rows));
     tc "covers tolerates nulls" (fun () ->
         let a = Query.Eval.row [ ("x", V.int 1); ("y", V.Null) ] in
         let b = Query.Eval.row [ ("x", V.int 1); ("y", V.int 2) ] in

@@ -1242,6 +1242,51 @@ let cluster_tests =
             | Error msg ->
                 check Alcotest.bool "the refusal names the snapshot" true
                   (contains msg "snapshot")));
+    tc "a snapshot restores reals %g would round (1000003.5, 123456.5)"
+      (fun () ->
+        (* snapshots store the instance as loader text: "%g" printed
+           1000003.5 as 1e+06, which the loader rejects, and 123456.5 as
+           123456 *)
+        let dir = fresh_dir () in
+        let students =
+          Server.Wire.request_to_line ~view:"sc1" ~text:"select Name, GPA from Student"
+            "query"
+        in
+        Fun.protect
+          ~finally:(fun () -> rm_rf dir)
+          (fun () ->
+            let before =
+              let leader, laddr = start_server ~journal_dir:dir () in
+              Fun.protect
+                ~finally:(fun () -> Server.stop leader)
+                (fun () ->
+                  with_client laddr (fun c ->
+                      List.iter
+                        (fun (name, gpa) ->
+                          ignore
+                            (Server.Client.roundtrip c
+                               (Server.Wire.request_to_line ~view:"sc1"
+                                  ~text:
+                                    (Printf.sprintf
+                                       "insert into Student { Name = '%s', GPA = %s }"
+                                       name gpa)
+                                  "update")))
+                        [ ("Big", "1000003.5"); ("Mid", "123456.5") ];
+                      let resp = Server.Client.request c "repl_compact" in
+                      check Alcotest.int "snapshot taken" 2 (int_field "snapshot_seq" resp);
+                      Server.Client.roundtrip c students))
+            in
+            check Alcotest.bool "both reals answered exactly" true
+              (contains before "1000003.5" && contains before "123456.5");
+            let leader, laddr = start_server ~journal_dir:dir () in
+            Fun.protect
+              ~finally:(fun () -> Server.stop leader)
+              (fun () ->
+                with_client laddr (fun c ->
+                    check Alcotest.int "restored from the snapshot" 2
+                      (int_field "snapshot_seq" (Server.Client.request c "health"));
+                    check Alcotest.string "byte-identical after restart" before
+                      (Server.Client.roundtrip c students)))));
     tc "a re-handshaking follower cannot double-count toward the quorum"
       (fun () ->
         let leader, laddr =
