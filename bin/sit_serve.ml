@@ -370,8 +370,9 @@ let jobs =
     & opt int (Par.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Execute requests on a domain pool of $(docv) workers (default: \
-           \\$SIT_JOBS, or 1).")
+          "Serve connections on $(docv) domains (lanes): each connection \
+           runs on the least-loaded lane, the accept loop's domain \
+           included (default: \\$SIT_JOBS, or 1).")
 
 let queue =
   Arg.(

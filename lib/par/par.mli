@@ -70,10 +70,11 @@ val async : pool -> (unit -> 'a) -> 'a promise
 (** [async pool f] submits the single task [f] to the pool and returns
     immediately; some worker domain eventually runs it.  On a [~jobs:1]
     pool the task runs synchronously on the caller before [async]
-    returns (the same bypass as {!map}).  This is the request-serving
-    path: unlike {!map}, tasks from many submitting threads interleave
-    in one FIFO.  [f] must be pure up to commutative effects, as for
-    {!map}. *)
+    returns (the same bypass as {!map}).  Unlike {!map}, tasks from
+    many submitting threads interleave in one FIFO.  [f] must be pure
+    up to commutative effects, as for {!map}.  The server no longer
+    uses this: it serves each connection on its own domain lane.  The
+    remaining caller is the benchmark's hand-off probe. *)
 
 val await : pool -> 'a promise -> 'a
 (** Blocks until the promise settles and returns the task's result, or

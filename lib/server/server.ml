@@ -1,5 +1,6 @@
-(* The daemon core.  One thread per connection; data operations are
-   executed on a shared Par pool behind a bounded in-flight counter.
+(* The daemon core.  Each connection is placed on one of [jobs] lanes
+   (domains) and served there by its own thread, from framing to the
+   written response; data operations pass a bounded in-flight counter.
    See server.mli for the full model and docs/SERVING.md for the wire
    protocol. *)
 
@@ -228,12 +229,33 @@ type plan =
   | View_plan of Query.Ast.t * (Query.Eval.row list -> Query.Eval.row list)
   | Global_plan of Query.Rewrite.component_query list
 
+(* A lane is one domain serving the connections placed on it, each on
+   its own thread created inside that domain.  Lane 0 is the domain
+   that runs [serve]; lanes 1..jobs-1 are spawned by [serve] and joined
+   by [drain].  Every mutable field is under [conns_mu]. *)
+type lane = {
+  index : int;
+  mutable live : int;  (** connections placed here and not yet closed *)
+  mutable threads : (int * Thread.t) list;  (** running handlers *)
+  mutable finished : Thread.t list;  (** handlers that returned, to join *)
+  inbox : (int * Unix.file_descr) Queue.t;
+      (** accepted connections this lane's domain has yet to start *)
+  wake : Condition.t;  (** signals [inbox] and [closing] *)
+  mutable closing : bool;
+  mutable domain : unit Domain.t option;
+}
+
+type conn = {
+  fd : Unix.file_descr;
+  lane : int;
+  mutable handler_domain : int option;  (** set once its thread runs *)
+}
+
 type t = {
   cfg : config;
   session : session;
   listen_fd : Unix.file_descr;
   bound_port : int option;
-  pool : Par.pool;
   mutable merged : Instance.Store.t;  (** under [state_mu] *)
   state_mu : Mutex.t;
   cache : (string, plan) Lru.t;  (** under [cache_mu] *)
@@ -264,9 +286,9 @@ type t = {
   stop_requested : bool Atomic.t;  (** accept loop should wind down *)
   stopping : bool Atomic.t;  (** drain started: reject new data ops *)
   conns_mu : Mutex.t;
-  live_conns : (int, Unix.file_descr) Hashtbl.t;  (** under [conns_mu] *)
-  mutable live_threads : (int * Thread.t) list;  (** under [conns_mu] *)
-  mutable finished_threads : Thread.t list;  (** under [conns_mu] *)
+  live_conns : (int, conn) Hashtbl.t;  (** under [conns_mu] *)
+  lanes : lane array;  (** [cfg.jobs] of them *)
+  lanes_running : int Atomic.t;  (** lane domains whose loop has not returned *)
   mutable next_conn : int;
   t0 : float;
   (* the server's own counters, live even when lib/obs is off *)
@@ -381,13 +403,13 @@ let create_bound session cfg =
            (Wire.addr_to_string cfg.listen)
            (Unix.error_message e) fn arg)
   | listen_fd, bound_port ->
+      let jobs = max 1 cfg.jobs in
       Ok
         {
-          cfg = { cfg with jobs = max 1 cfg.jobs; queue = max 1 cfg.queue };
+          cfg = { cfg with jobs; queue = max 1 cfg.queue };
           session;
           listen_fd;
           bound_port;
-          pool = Par.create ~jobs:(max 1 cfg.jobs);
           merged = session.initial_merged;
           state_mu = Mutex.create ();
           cache = Lru.create ~capacity:(max 0 cfg.cache);
@@ -418,8 +440,19 @@ let create_bound session cfg =
           stopping = Atomic.make false;
           conns_mu = Mutex.create ();
           live_conns = Hashtbl.create 64;
-          live_threads = [];
-          finished_threads = [];
+          lanes =
+            Array.init jobs (fun index ->
+                {
+                  index;
+                  live = 0;
+                  threads = [];
+                  finished = [];
+                  inbox = Queue.create ();
+                  wake = Condition.create ();
+                  closing = false;
+                  domain = None;
+                });
+          lanes_running = Atomic.make 0;
           next_conn = 0;
           t0 = Unix.gettimeofday ();
           s_requests = Atomic.make 0;
@@ -717,7 +750,7 @@ let named_stores t =
     (fun (s, st) -> (Ecr.Schema.name s, st))
     t.session.component_stores
 
-(* The payload of one data operation; runs on a pool domain.  Raises
+(* The payload of one data operation; runs on the connection's lane.  Raises
    only the typed query-layer exceptions (mapped to error responses by
    [execute]) — anything else is a bug answered as [internal]. *)
 let run_op_inner t (req : Wire.request) =
@@ -1261,7 +1294,7 @@ let respond_err ?data t id code msg =
    deadline" is reachable deterministically from a test. *)
 let test_delay_after_op_ms = Atomic.make 0
 
-(* Runs on a pool domain; must never let an exception escape.
+(* Runs on the connection's lane; must never let an exception escape.
 
    The post-execution deadline check applies to read ops only.  A
    mutating op that [run_op] completed HAS changed state, and the [ok]
@@ -1299,7 +1332,11 @@ let health_payload t =
   [
     ("status", Json.String (if Atomic.get t.stopping then "draining" else "ok"));
     ("uptime_s", Json.Float (Unix.gettimeofday () -. t.t0));
-    ("jobs", Json.Int (Par.jobs t.pool));
+    ("jobs", Json.Int t.cfg.jobs);
+    ( "lanes",
+      Json.List
+        (Mutex.protect t.conns_mu (fun () ->
+             Array.to_list (Array.map (fun l -> Json.Int l.live) t.lanes))) );
     ("inflight", Json.Int (Atomic.get t.inflight));
     ("queue_limit", Json.Int t.cfg.queue);
     ("requests", Json.Int s.requests);
@@ -1598,13 +1635,6 @@ let handle_request t decoded =
                     | Some _ as d -> d
                     | None -> t.cfg.deadline_ms
                   in
-                  let run () =
-                    let p =
-                      Par.async t.pool (fun () ->
-                          execute t req ~t_start ~deadline)
-                    in
-                    Par.await t.pool p
-                  in
                   let resp =
                     match t.repl_log with
                     | Some log when Wire.mutating req.Wire.op -> (
@@ -1612,7 +1642,7 @@ let handle_request t decoded =
                            order is exactly the application order *)
                         let resp, seq =
                           Mutex.protect t.repl_mu (fun () ->
-                              let resp = run () in
+                              let resp = execute t req ~t_start ~deadline in
                               match Json.member "ok" resp with
                               | Some (Json.Bool true) ->
                                   let s =
@@ -1646,7 +1676,7 @@ let handle_request t decoded =
                                    s t.cfg.repl.ack_replicas
                                    t.cfg.repl.ack_timeout_ms)
                         | _ -> resp)
-                    | _ -> run ()
+                    | _ -> execute t req ~t_start ~deadline
                   in
                   observe_op req.Wire.op
                     ((Unix.gettimeofday () -. t_start) *. 1000.);
@@ -1660,12 +1690,17 @@ let handle_request t decoded =
    the offline leg of the scenario differential harness. *)
 let exec t line = Json.to_string (handle_request t (Wire.request_of_line line))
 
-module For_testing = struct
-  let with_state t f = Mutex.protect t.state_mu (fun () -> f t.merged t.views)
-  let set_delay_after_op_ms ms = Atomic.set test_delay_after_op_ms (max 0 ms)
-end
-
 (* ---- connections and lifecycle ------------------------------------ *)
+
+(* Forgets connection [id]: it stops counting toward its lane's load,
+   and its thread, if it has one, moves to the lane's to-join list. *)
+let release t lane id =
+  Mutex.protect t.conns_mu (fun () ->
+      Hashtbl.remove t.live_conns id;
+      lane.live <- lane.live - 1;
+      let self, running = List.partition (fun (i, _) -> i = id) lane.threads in
+      lane.threads <- running;
+      lane.finished <- List.map snd self @ lane.finished)
 
 (* A connection announces its protocol with its first byte: JSON lines
    start with a printable character (in practice '{'), a binary
@@ -1674,7 +1709,11 @@ end
    a frame boundary are answered and the connection continues; an
    unusable length prefix or a bad magic is answered once and the
    connection closed, since resynchronisation is impossible. *)
-let handle_conn t conn_id fd =
+let handle_conn t lane conn_id fd =
+  Mutex.protect t.conns_mu (fun () ->
+      match Hashtbl.find_opt t.live_conns conn_id with
+      | Some c -> c.handler_domain <- Some (Domain.self () :> int)
+      | None -> ());
   Atomic.incr t.s_conns;
   Obs.Counter.incr c_connections;
   let ic = Unix.in_channel_of_descr fd in
@@ -1742,23 +1781,90 @@ let handle_conn t conn_id fd =
       | exception (End_of_file | Sys_error _) ->
           ignore (write_json (handle_request t (Wire.request_of_line (String.make 1 c))))
       | line -> json_loop (String.make 1 c ^ line)));
-  Mutex.protect t.conns_mu (fun () ->
-      Hashtbl.remove t.live_conns conn_id;
-      let self, live =
-        List.partition (fun (id, _) -> id = conn_id) t.live_threads
-      in
-      t.live_threads <- live;
-      t.finished_threads <- List.map snd self @ t.finished_threads);
+  release t lane conn_id;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let reap_finished t =
-  let finished =
-    Mutex.protect t.conns_mu (fun () ->
-        let f = t.finished_threads in
-        t.finished_threads <- [];
-        f)
+(* Starts connection [id]'s handler thread; called on [lane]'s own
+   domain, so the thread belongs to that domain for its whole life. *)
+let spawn t lane id fd =
+  match Thread.create (fun () -> handle_conn t lane id fd) () with
+  | th ->
+      Mutex.protect t.conns_mu (fun () ->
+          if Hashtbl.mem t.live_conns id then
+            lane.threads <- (id, th) :: lane.threads
+          else
+            (* the connection already finished *)
+            lane.finished <- th :: lane.finished)
+  | exception e ->
+      Printf.eprintf "sit_serve: cannot start a connection thread: %s\n%!"
+        (Printexc.to_string e);
+      release t lane id;
+      (try Unix.close fd with Unix.Unix_error _ -> ())
+
+let take_finished t lane =
+  Mutex.protect t.conns_mu (fun () ->
+      let f = lane.finished in
+      lane.finished <- [];
+      f)
+
+(* Joins every handler thread of [lane] until none is left. *)
+let rec join_lane t lane =
+  let threads =
+    Mutex.protect t.conns_mu (fun () -> List.map snd lane.threads)
+    @ take_finished t lane
   in
-  List.iter Thread.join finished
+  if threads <> [] then begin
+    List.iter Thread.join threads;
+    join_lane t lane
+  end
+
+(* The body of lanes 1..jobs-1: start each connection placed here on a
+   thread of this domain.  Once [closing] is set the inbox is emptied
+   (a connection accepted just before stop is still served or closed)
+   and the domain returns only after its last handler has. *)
+let lane_loop t lane () =
+  Atomic.incr t.lanes_running;
+  let rec loop () =
+    let next =
+      Mutex.protect t.conns_mu (fun () ->
+          while Queue.is_empty lane.inbox && not lane.closing do
+            Condition.wait lane.wake t.conns_mu
+          done;
+          Queue.take_opt lane.inbox)
+    in
+    List.iter Thread.join (take_finished t lane);
+    match next with
+    | Some (id, fd) ->
+        spawn t lane id fd;
+        loop ()
+    | None -> ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Atomic.decr t.lanes_running)
+    (fun () ->
+      loop ();
+      join_lane t lane)
+
+let start_lanes t =
+  Array.iter
+    (fun lane ->
+      if lane.index > 0 && lane.domain = None then
+        match Domain.spawn (lane_loop t lane) with
+        | d -> Mutex.protect t.conns_mu (fun () -> lane.domain <- Some d)
+        | exception e ->
+            Printf.eprintf "sit_serve: lane %d not started: %s\n%!" lane.index
+              (Printexc.to_string e))
+    t.lanes
+
+(* Least-loaded placement, ties to the lowest index; only lanes that
+   are running take connections.  Under [conns_mu]. *)
+let pick_lane t =
+  Array.fold_left
+    (fun best lane ->
+      if (lane.index = 0 || lane.domain <> None) && lane.live < best.live then
+        lane
+      else best)
+    t.lanes.(0) t.lanes
 
 let drain t =
   let already =
@@ -1780,25 +1886,24 @@ let drain t =
     | Wire.Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Wire.Tcp _ -> ());
     (* wake idle readers: they see EOF after the response they are
-       currently computing/writing, which drains in-flight requests *)
-    Mutex.protect t.conns_mu (fun () ->
-        Hashtbl.iter
-          (fun _ fd ->
-            try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-            with Unix.Unix_error _ -> ())
-          t.live_conns);
-    let rec join_live () =
-      let live =
-        Mutex.protect t.conns_mu (fun () -> List.map snd t.live_threads)
-      in
-      match live with
-      | [] -> ()
-      | threads ->
-          List.iter Thread.join threads;
-          join_live ()
+       currently computing/writing, which drains in-flight requests;
+       then let every lane run out *)
+    let domains =
+      Mutex.protect t.conns_mu (fun () ->
+          Hashtbl.iter
+            (fun _ c ->
+              try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
+              with Unix.Unix_error _ -> ())
+            t.live_conns;
+          Array.iter
+            (fun lane ->
+              lane.closing <- true;
+              Condition.signal lane.wake)
+            t.lanes;
+          Array.to_list t.lanes |> List.filter_map (fun lane -> lane.domain))
     in
-    join_live ();
-    reap_finished t;
+    join_lane t t.lanes.(0);
+    List.iter Domain.join domains;
     (let tail =
        Mutex.protect t.conns_mu (fun () ->
            let th = t.follower_thread in
@@ -1806,7 +1911,6 @@ let drain t =
            th)
      in
      match tail with Some th -> Thread.join th | None -> ());
-    Par.shutdown t.pool;
     match t.viewlog with
     | Some frames ->
         (try Journal.Frames.close frames with _ -> ());
@@ -1852,10 +1956,12 @@ let serve t =
   (* a client that disconnects mid-write must not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   start_follower t;
+  start_lanes t;
+  let lane0 = t.lanes.(0) in
   let rec loop () =
     if Atomic.get t.stop_requested then ()
     else begin
-      reap_finished t;
+      List.iter Thread.join (take_finished t lane0);
       match Unix.select [ t.listen_fd ] [] [] 0.2 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
@@ -1871,20 +1977,21 @@ let serve t =
               loop ()
           | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
           | fd, _ ->
-              let conn_id =
+              let id, lane =
                 Mutex.protect t.conns_mu (fun () ->
                     let id = t.next_conn in
                     t.next_conn <- id + 1;
-                    Hashtbl.replace t.live_conns id fd;
-                    id)
+                    let lane = pick_lane t in
+                    lane.live <- lane.live + 1;
+                    Hashtbl.replace t.live_conns id
+                      { fd; lane = lane.index; handler_domain = None };
+                    if lane.index > 0 then begin
+                      Queue.push (id, fd) lane.inbox;
+                      Condition.signal lane.wake
+                    end;
+                    (id, lane))
               in
-              let th = Thread.create (fun () -> handle_conn t conn_id fd) () in
-              Mutex.protect t.conns_mu (fun () ->
-                  if Hashtbl.mem t.live_conns conn_id then
-                    t.live_threads <- (conn_id, th) :: t.live_threads
-                  else
-                    (* the connection already finished *)
-                    t.finished_threads <- th :: t.finished_threads);
+              if lane.index = 0 then spawn t lane id fd;
               loop ())
     end
   in
@@ -1908,3 +2015,20 @@ let stop t =
       (* serve ran (or will not run) on the caller's thread: make the
          drain happen here if the loop is not around to do it *)
       drain t
+
+module For_testing = struct
+  let with_state t f = Mutex.protect t.state_mu (fun () -> f t.merged t.views)
+  let set_delay_after_op_ms ms = Atomic.set test_delay_after_op_ms (max 0 ms)
+
+  type conn_info = { conn : int; lane : int; domain : int option }
+
+  let connections t =
+    Mutex.protect t.conns_mu (fun () ->
+        Hashtbl.fold
+          (fun conn (c : conn) acc ->
+            { conn; lane = c.lane; domain = c.handler_domain } :: acc)
+          t.live_conns [])
+    |> List.sort (fun a b -> compare a.conn b.conn)
+
+  let lane_domains t = Atomic.get t.lanes_running
+end

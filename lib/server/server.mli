@@ -9,14 +9,19 @@
     JSON protocol ({!Wire}, reference in [docs/SERVING.md]) on a Unix
     or TCP socket.
 
-    Concurrency model: one lightweight thread per connection reads
-    frames and writes responses in order; each data operation is
-    submitted to a shared [lib/par] domain pool ({!Par.async}) behind a
-    {e bounded} in-flight counter — when the bound is hit the request
+    Concurrency model: {!serve} runs [jobs] {e lanes} — the calling
+    domain is lane 0 and [jobs - 1] more domains are spawned.  Each
+    accepted connection is placed on the lane with the fewest live
+    connections (ties to the lowest index) and served there by its own
+    thread, created inside that lane's domain: framing, decode,
+    execution, render and write all happen on that domain, and
+    responses go out in request order.  Connections on different lanes
+    run in parallel; no request crosses a domain.  Data operations pass
+    a {e bounded} in-flight counter — when the bound is hit the request
     is answered [overloaded] immediately instead of buffering without
     limit.  [health] and [metrics] bypass the bound so the daemon stays
-    observable under load.  Per-request deadlines are checked when the
-    request reaches a domain and, for read ops, again after evaluation;
+    observable under load.  Per-request deadlines are checked when
+    execution starts and, for read ops, again after evaluation;
     either miss answers [deadline_exceeded].  Mutating ops skip the
     second check: once applied, a mutation is acknowledged (and, on a
     leader, replicated) — the deadline can only reject it before it
@@ -30,9 +35,9 @@
     Every protocol failure is a typed error {e response}; no exception
     of the query layer ([Query.Parser.Error], [Query.Rewrite.Unmapped],
     [Query.Eval.Error], [Query.Update.Error]) ever kills the daemon or
-    a worker domain.  Shutdown ({!stop}, or SIGTERM in [bin/sit_serve])
-    stops accepting, answers every in-flight request, wakes idle
-    connections, joins every thread and shuts the pool down. *)
+    a lane.  Shutdown ({!stop}, or SIGTERM in [bin/sit_serve]) stops
+    accepting, answers every in-flight request, wakes idle connections,
+    joins every connection thread and then every lane domain. *)
 
 module Wire = Wire
 module Lru = Lru
@@ -123,7 +128,9 @@ val default_repl : repl_config
 
 type config = {
   listen : Wire.addr;
-  jobs : int;  (** domain-pool size for request execution *)
+  jobs : int;
+      (** lanes: domains serving connections, the one calling {!serve}
+          included ([1] keeps everything on that domain) *)
   queue : int;  (** max in-flight data requests before [overloaded] *)
   deadline_ms : int option;  (** default per-request deadline *)
   cache : int;  (** rewrite-plan LRU capacity; [0] disables *)
@@ -154,7 +161,8 @@ type t
 
 val create : session -> config -> (t, string) result
 (** Binds and listens (for [Tcp] with port [0], the kernel picks the
-    port — see {!port}); no thread is started yet.  When the session
+    port — see {!port}); no thread or domain is started yet, and a
+    server that is only {!exec}uted never starts one.  When the session
     has a [journal_dir], the view catalog logged to [views.journal] is
     replayed here (definitions the current session can no longer
     satisfy are dropped) and the log compacted.  A [Leader] with a
@@ -191,9 +199,11 @@ val port : t -> int option
 (** The bound TCP port, [None] for Unix sockets. *)
 
 val serve : t -> unit
-(** The accept loop, on the calling thread.  Returns only after a
+(** Starts the [jobs - 1] lane domains, then runs the accept loop on the
+    calling thread, whose domain is lane 0.  Returns only after a
     {!request_stop} (or {!stop} from another thread) has been honoured
-    and the server fully drained. *)
+    and the server fully drained: every connection closed, every lane
+    domain joined. *)
 
 val start : session -> config -> (t, string) result
 (** {!create} + {!serve} on a background thread — the in-process mode
@@ -213,10 +223,11 @@ val stats : t -> stats
 
 val exec : t -> string -> string
 (** One JSON request line to one canonical JSON response line, through
-    exactly the dispatch a connection uses (queue admission, worker
-    pool, deadlines) but with no socket — the offline leg of the
-    scenario differential harness ([Workload.Scenario]), which must be
-    byte-identical to what a wire client observes. *)
+    exactly the dispatch a connection uses (queue admission, deadlines,
+    mutation ordering), on the caller's thread and with no socket — the
+    offline leg of the scenario differential harness
+    ([Workload.Scenario]), which must be byte-identical to what a wire
+    client observes. *)
 
 (** Test hooks; not part of the serving surface. *)
 module For_testing : sig
@@ -232,4 +243,19 @@ module For_testing : sig
       must then answer [deadline_exceeded], while mutations must still
       answer [ok] and reach the replication log — an applied mutation
       is never reported (or replicated) as if it had not happened. *)
+
+  type conn_info = {
+    conn : int;  (** connection id, in accept order from 0 *)
+    lane : int;  (** the lane it was placed on *)
+    domain : int option;
+        (** [Domain.self ()] of its handler thread, once that runs *)
+  }
+
+  val connections : t -> conn_info list
+  (** The live connections, by id. *)
+
+  val lane_domains : t -> int
+  (** Lane domains whose loop is running: [jobs - 1] while serving,
+      [0] before {!serve} and after the drain — counted by the lanes
+      themselves, so a lane the drain failed to stop still shows. *)
 end

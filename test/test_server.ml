@@ -57,29 +57,30 @@ let session =
 
 let local = Server.Wire.Tcp ("127.0.0.1", 0)
 
+let start_exn cfg =
+  match Server.start (Lazy.force session) cfg with
+  | Error msg -> Alcotest.fail ("server failed to start: " ^ msg)
+  | Ok t -> (
+      match Server.port t with
+      | Some p -> (t, Server.Wire.Tcp ("127.0.0.1", p))
+      | None -> Alcotest.fail "no bound port")
+
 (* Starts a server, runs [f] against its address, always stops it. *)
 let with_server ?(jobs = 2) ?(queue = 64) ?deadline_ms ?(cache = 128)
     ?(debug = false) f =
-  let cfg =
-    {
-      Server.listen = local;
-      jobs;
-      queue;
-      deadline_ms;
-      cache;
-      debug;
-      repl = Server.default_repl;
-    }
+  let t, addr =
+    start_exn
+      {
+        Server.listen = local;
+        jobs;
+        queue;
+        deadline_ms;
+        cache;
+        debug;
+        repl = Server.default_repl;
+      }
   in
-  match Server.start (Lazy.force session) cfg with
-  | Error msg -> Alcotest.fail ("server failed to start: " ^ msg)
-  | Ok t ->
-      let addr =
-        match Server.port t with
-        | Some p -> Server.Wire.Tcp ("127.0.0.1", p)
-        | None -> Alcotest.fail "no bound port"
-      in
-      Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f t addr)
+  Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f t addr)
 
 let with_client addr f =
   let c = Server.Client.connect addr in
@@ -477,6 +478,256 @@ let binary_tests =
             check Alcotest.int "no divergence" 0 stats.Server.Client.mismatches));
   ]
 
+(* ---- lanes: per-connection placement ------------------------------ *)
+
+let cfg_with ?(debug = false) jobs =
+  { (Server.default_config local) with Server.jobs; debug }
+
+(* Polls [cond] every 10 ms; fails after [seconds]. *)
+let await_cond ?(seconds = 5.) what cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+
+(* Runs [f] on a thread and fails unless it returns within [seconds] —
+   a hung drain fails the test instead of hanging the suite. *)
+let within ~seconds what f =
+  let out = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () ->
+        Atomic.set out (Some (match f () with () -> Ok () | exception e -> Error e)))
+      ()
+  in
+  await_cond ~seconds (what ^ " to return") (fun () -> Atomic.get out <> None);
+  Thread.join th;
+  match Atomic.get out with
+  | Some (Error e) -> raise e
+  | _ -> ()
+
+(* Everything [fd] delivers up to EOF (or a reset); [None] if the peer
+   neither answers nor closes within [seconds]. *)
+let read_to_eof ?(seconds = 5.) fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then None
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> go ()
+      | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Some (Buffer.contents buf)
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              go ()
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+              Some (Buffer.contents buf))
+  in
+  go ()
+
+let send_line oc line =
+  output_string oc line;
+  output_char oc '\n';
+  flush oc
+
+let health_field t name =
+  match Json.of_string (Server.exec t {|{"op":"health"}|}) with
+  | Ok v -> Json.member name v
+  | Error e -> Alcotest.fail e
+
+let lane_of t conn =
+  match
+    List.find_opt
+      (fun (c : Server.For_testing.conn_info) -> c.Server.For_testing.conn = conn)
+      (Server.For_testing.connections t)
+  with
+  | Some c -> c
+  | None -> Alcotest.failf "connection %d is not live" conn
+
+let self_domain () = (Stdlib.Domain.self () :> int)
+
+let lane_tests =
+  [
+    tc "drain at jobs 4 answers every in-flight sleep and joins every lane"
+      (fun () ->
+        let t, addr = start_exn (cfg_with ~debug:true 4) in
+        let sleepers = List.init 6 (fun _ -> raw_connect addr) in
+        List.iter
+          (fun (_, _, oc) ->
+            send_line oc (Server.Wire.request_to_line ~text:"300" "sleep"))
+          sleepers;
+        await_cond "6 sleeps in flight" (fun () ->
+            health_field t "inflight" = Some (Json.Int 6));
+        check Alcotest.int "3 lane domains" 3 (Server.For_testing.lane_domains t);
+        (* one more connection, accepted but maybe not yet started *)
+        let ((late_fd, _, late_oc) as late) = raw_connect addr in
+        send_line late_oc (Server.Wire.request_to_line ~text:"10" "sleep");
+        await_cond "the late connection to be accepted" (fun () ->
+            List.length (Server.For_testing.connections t) = 7);
+        within ~seconds:10. "Server.stop" (fun () -> Server.stop t);
+        check Alcotest.int "no lane domain left" 0
+          (Server.For_testing.lane_domains t);
+        List.iteri
+          (fun i (fd, _, _) ->
+            match read_to_eof fd with
+            | None -> Alcotest.failf "sleeper %d never saw EOF" i
+            | Some text -> (
+                match String.split_on_char '\n' text with
+                | [ line; "" ] -> (
+                    match Json.of_string line with
+                    | Ok v ->
+                        check Alcotest.bool
+                          (Printf.sprintf "sleeper %d answered ok" i)
+                          true (Server.Client.is_ok v)
+                    | Error e -> Alcotest.fail e)
+                | _ -> Alcotest.failf "sleeper %d got %S" i text))
+          sleepers;
+        (match read_to_eof late_fd with
+        | None -> Alcotest.fail "the late connection was leaked"
+        | Some "" -> ()
+        | Some text -> (
+            (* served: one response, then EOF *)
+            match Json.of_string (String.trim text) with
+            | Ok v ->
+                check Alcotest.bool "late answer is a response" true
+                  (Server.Client.is_ok v
+                  || Server.Client.error_code v = Some "shutting_down")
+            | Error e -> Alcotest.fail e));
+        List.iter
+          (fun (fd, _, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (late :: sleepers));
+    tc "45 start/stop cycles at jobs 4 leak no lane domain" (fun () ->
+        (* 45 x 3 lane domains is past the runtime's 128-domain limit:
+           a drain that missed a lane would make a later spawn fail *)
+        for i = 1 to 45 do
+          let t, addr = start_exn (cfg_with 4) in
+          await_cond
+            (Printf.sprintf "cycle %d: 3 lanes" i)
+            (fun () -> Server.For_testing.lane_domains t = 3);
+          with_client addr (fun c ->
+              check Alcotest.bool "served" true
+                (Server.Client.is_ok (Server.Client.request c "health")));
+          within ~seconds:10. "Server.stop" (fun () -> Server.stop t);
+          check Alcotest.int "joined" 0 (Server.For_testing.lane_domains t)
+        done);
+    tc "least-loaded placement: distinct lanes and domains, freed lane reused"
+      (fun () ->
+        with_server ~jobs:2 (fun t addr ->
+            let a = Server.Client.connect addr in
+            ignore (Server.Client.request a "health");
+            let b = Server.Client.connect addr in
+            ignore (Server.Client.request b "health");
+            let ca = lane_of t 0 and cb = lane_of t 1 in
+            check Alcotest.int "first on lane 0" 0 ca.Server.For_testing.lane;
+            check Alcotest.int "second on lane 1" 1 cb.Server.For_testing.lane;
+            check Alcotest.(option int) "lane 0 is the serving domain"
+              (Some (self_domain ())) ca.Server.For_testing.domain;
+            check Alcotest.bool "different handler domains" true
+              (ca.Server.For_testing.domain <> cb.Server.For_testing.domain
+              && cb.Server.For_testing.domain <> None);
+            check Alcotest.bool "health lists per-lane load" true
+              (health_field t "lanes" = Some (Json.List [ Json.Int 1; Json.Int 1 ]));
+            check Alcotest.bool "health reports jobs" true
+              (health_field t "jobs" = Some (Json.Int 2));
+            (* free lane 1: round-robin would now pick lane 0 *)
+            Server.Client.close b;
+            await_cond "lane 1 to free up" (fun () ->
+                List.length (Server.For_testing.connections t) = 1);
+            let c = Server.Client.connect addr in
+            ignore (Server.Client.request c "health");
+            check Alcotest.int "third takes the freed lane" 1
+              (lane_of t 2).Server.For_testing.lane;
+            Server.Client.close c;
+            Server.Client.close a));
+    tc "jobs 1 serves on the calling domain and spawns none" (fun () ->
+        (match Server.create (Lazy.force session) (cfg_with 4) with
+        | Error e -> Alcotest.fail e
+        | Ok t ->
+            ignore (Server.exec t {|{"op":"query","view":"sc1","q":"select Name from Student"}|});
+            check Alcotest.int "exec alone spawns no domain" 0
+              (Server.For_testing.lane_domains t);
+            Server.stop t);
+        with_server ~jobs:1 (fun t addr ->
+            with_client addr (fun a ->
+                with_client addr (fun b ->
+                    ignore (Server.Client.request a "health");
+                    ignore (Server.Client.request b "health");
+                    check Alcotest.int "no lane domain" 0
+                      (Server.For_testing.lane_domains t);
+                    List.iter
+                      (fun (c : Server.For_testing.conn_info) ->
+                        check Alcotest.int "lane 0" 0 c.Server.For_testing.lane;
+                        check Alcotest.(option int) "calling domain"
+                          (Some (self_domain ())) c.Server.For_testing.domain)
+                      (Server.For_testing.connections t);
+                    check Alcotest.bool "health lanes" true
+                      (health_field t "lanes" = Some (Json.List [ Json.Int 2 ]))))));
+    tc "cross-lane mutations match a sequential exec replay" (fun () ->
+        let conns = 4 and keys = 25 in
+        let frames i =
+          List.concat_map
+            (fun k ->
+              let key = Printf.sprintf "c%dk%d" i k in
+              let u text = Server.Wire.request_to_line ~view:"sc1" ~text "update" in
+              let q () =
+                Server.Wire.request_to_line ~view:"sc1"
+                  ~text:
+                    (Printf.sprintf
+                       "select Name, GPA from Student where Name = '%s'" key)
+                  "query"
+              in
+              [
+                u (Printf.sprintf "insert into Student { Name = '%s', GPA = 1.0 }" key);
+                u (Printf.sprintf "update Student set GPA = 3.5 where Name = '%s'" key);
+                q ();
+              ]
+              @ (if k mod 2 = 0 then
+                   [ u (Printf.sprintf "delete from Student where Name = '%s'" key) ]
+                 else [])
+              @ [ q () ])
+            (List.init keys Fun.id)
+        in
+        let served =
+          with_server ~jobs:4 (fun t addr ->
+              let out = Array.make conns [] in
+              let clients = Array.init conns (fun _ -> Server.Client.connect addr) in
+              let threads =
+                List.init conns (fun i ->
+                    Thread.create
+                      (fun () ->
+                        out.(i) <-
+                          List.map (Server.Client.roundtrip clients.(i)) (frames i))
+                      ())
+              in
+              List.iter Thread.join threads;
+              let lanes =
+                List.sort_uniq compare
+                  (List.map
+                     (fun (c : Server.For_testing.conn_info) -> c.Server.For_testing.lane)
+                     (Server.For_testing.connections t))
+              in
+              check Alcotest.(list int) "one connection per lane" [ 0; 1; 2; 3 ] lanes;
+              Array.iter Server.Client.close clients;
+              out)
+        in
+        match Server.create (Lazy.force session) (cfg_with 1) with
+        | Error e -> Alcotest.fail e
+        | Ok t ->
+            Fun.protect
+              ~finally:(fun () -> Server.stop t)
+              (fun () ->
+                for i = 0 to conns - 1 do
+                  let replay = List.map (Server.exec t) (frames i) in
+                  check Alcotest.(list string)
+                    (Printf.sprintf "connection %d transcript" i)
+                    replay served.(i)
+                done));
+  ]
+
 (* ---- regression: strategy error paths ----------------------------- *)
 
 let strategy_tests =
@@ -684,6 +935,7 @@ let () =
     [
       ("server", server_tests);
       ("binary protocol", binary_tests);
+      ("lanes", lane_tests);
       ("strategy regressions", strategy_tests);
       ("conflict diagnostics", conflict_tests);
       ("sit_batch regressions", sit_batch_tests);
