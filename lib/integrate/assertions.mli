@@ -15,7 +15,21 @@
 
     A new assertion that would empty a cell is rejected with a
     {!conflict} carrying the derivation basis — the data shown on the
-    Assertion Conflict Resolution screen (Screen 9). *)
+    Assertion Conflict Resolution screen (Screen 9).
+
+    {b Cost.}  Structures are numbered densely and the cells are int
+    rows, so a closure step (one tightened cell) costs two table
+    compositions per node: O(nodes).  A cell can tighten at most four
+    times, so a closure is O(nodes{^ 3}) in the worst case; in practice
+    it is proportional to the cells it derives.  The qname accessors
+    ({!relation}, {!source_between}, ...) cost one O(log nodes) name
+    lookup per argument; the enumerations walk every pair, O(nodes{^ 2}).
+
+    {b Persistence.}  A [t] is an immutable value: {!add} shares every
+    row it does not write with its argument and copies the rows it
+    writes (counted by the [assertions.rows_copied] counter), so the
+    argument answers as before whether the assertion is accepted or
+    rejected. *)
 
 type source =
   | Asserted  (** stated by the DDA *)
@@ -54,8 +68,9 @@ val nodes : t -> Ecr.Qname.t list
 val add :
   Ecr.Qname.t -> Assertion.t -> Ecr.Qname.t -> t -> (t, conflict) result
 (** [add left a right t] records "left ⟨a⟩ right" and re-closes the
-    matrix.  On conflict the original matrix is returned unchanged
-    inside the error. *)
+    matrix.  On conflict [t] is left unchanged and the error describes
+    the contradiction.  [left] and [right] need not be {!nodes}: such a
+    pair is stored, but never used as an intermediate of the closure. *)
 
 val relation : t -> Ecr.Qname.t -> Ecr.Qname.t -> Rel.t
 (** Current knowledge, oriented first-to-second argument; {!Rel.all}

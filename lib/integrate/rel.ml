@@ -8,6 +8,7 @@ let basics = [ Eq; Lt; Gt; Ov; Dj ]
 
 let empty = 0
 let all = 31
+let of_bits b = b land all
 let of_basic b = bit b
 let of_list bs = List.fold_left (fun acc b -> acc lor bit b) 0 bs
 let mem b r = r land bit b <> 0
@@ -28,7 +29,15 @@ let converse_basic = function
   | Gt -> Lt
   | (Eq | Ov | Dj) as b -> b
 
-let converse r = of_list (List.map converse_basic (to_list r))
+(* [converse] and [compose] run in the innermost loop of the assertion
+   matrix's closure, so both are table lookups.  The tables are built
+   once from the per-basic definitions ([converse_basic],
+   [compose_basic]), which remain the specification; test/test_rel.ml
+   checks every entry against them. *)
+let converse_table =
+  Array.init 32 (fun r -> of_list (List.map converse_basic (to_list r)))
+
+let converse r = Array.unsafe_get converse_table r
 
 (* The composition table, derived set-theoretically for non-empty sets
    (soundness is property-tested against random finite extents). *)
@@ -53,13 +62,20 @@ let compose_basic a b =
   | Dj, Ov -> of_list [ Lt; Ov; Dj ]
   | Dj, Dj -> all
 
-let compose r1 r2 =
-  List.fold_left
-    (fun acc b1 ->
+(* Entry [r1 * 32 + r2] is the union of [compose_basic b1 b2] over the
+   members [b1] of [r1] and [b2] of [r2]. *)
+let compose_table =
+  Array.init 1024 (fun i ->
       List.fold_left
-        (fun acc b2 -> union acc (compose_basic b1 b2))
-        acc (to_list r2))
-    empty (to_list r1)
+        (fun acc b1 ->
+          List.fold_left
+            (fun acc b2 -> union acc (compose_basic b1 b2))
+            acc
+            (to_list (i land 31)))
+        empty
+        (to_list (i lsr 5)))
+
+let compose r1 r2 = Array.unsafe_get compose_table ((r1 lsl 5) lor r2)
 
 let of_assertion = function
   | Assertion.Equal -> of_basic Eq

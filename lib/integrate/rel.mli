@@ -26,6 +26,11 @@ val empty : t
 val all : t
 (** The unconstrained cell. *)
 
+val of_bits : int -> t
+(** The set whose bitmask is the low five bits of the argument: the
+    inverse of the [(r :> int)] coercion, for callers that pack a cell
+    into a wider int. *)
+
 val of_basic : basic -> t
 val of_list : basic list -> t
 val to_list : t -> basic list

@@ -9,8 +9,10 @@ type t = {
       (** kept in lockstep with [equivalence]: patched incrementally by
           [declare_equivalent]/[separate_attribute], rebuilt on the rare
           structural edits (schema add/remove) *)
-  object_facts : fact list;  (** in entry order *)
-  relationship_facts : fact list;
+  object_facts : fact list;
+      (** newest first, so recording a fact is O(1); read back in entry
+          order *)
+  relationship_facts : fact list;  (** likewise *)
   obj_matrix : Assertions.t;
       (** in lockstep with [schemas]+[object_facts]: each accepted
           assertion extends it incrementally; rebuilt by replay on
@@ -37,6 +39,7 @@ let empty =
 let schemas t = t.schemas
 let find_schema n t = List.find_opt (fun s -> Name.equal (Schema.name s) n) t.schemas
 
+(* [facts] newest first, as stored; replayed in entry order. *)
 let replay create facts t =
   List.fold_left
     (fun m (a, assertion, b) ->
@@ -47,7 +50,7 @@ let replay create facts t =
              may have invalidated one.  Drop it silently — the screens
              surface the remaining facts. *)
           m)
-    (create t.schemas) facts
+    (create t.schemas) (List.rev facts)
 
 (* After a structural edit the matrices' structure universe changed:
    replay the retained facts against it. *)
@@ -125,7 +128,7 @@ let assert_object a assertion b t =
       Ok
         {
           t with
-          object_facts = t.object_facts @ [ (a, assertion, b) ];
+          object_facts = (a, assertion, b) :: t.object_facts;
           obj_matrix = m;
         }
   | Error c -> Error c
@@ -136,7 +139,7 @@ let assert_relationship a assertion b t =
       Ok
         {
           t with
-          relationship_facts = t.relationship_facts @ [ (a, assertion, b) ];
+          relationship_facts = (a, assertion, b) :: t.relationship_facts;
           rel_matrix = m;
         }
   | Error c -> Error c
@@ -159,8 +162,8 @@ let retract_relationship a b t =
         List.filter (fun f -> not (same_pair a b f)) t.relationship_facts;
     }
 
-let object_facts t = t.object_facts
-let relationship_facts t = t.relationship_facts
+let object_facts t = List.rev t.object_facts
+let relationship_facts t = List.rev t.relationship_facts
 
 let require_schema n t =
   match find_schema n t with Some s -> s | None -> raise Not_found

@@ -221,12 +221,58 @@ let assertion_tests =
           (Rel.to_assertion ~integrable:false Rel.all = None));
   ]
 
+(* [compose] and [converse] are lookup tables; check every entry against
+   the per-basic definitions they are built from. *)
+let table_tests =
+  [
+    tc "compose table: all 1024 pairs are the union over members" (fun () ->
+        List.iter
+          (fun s1 ->
+            List.iter
+              (fun s2 ->
+                let expected =
+                  List.fold_left
+                    (fun acc b1 ->
+                      List.fold_left
+                        (fun acc b2 -> Rel.union acc (Rel.compose_basic b1 b2))
+                        acc s2)
+                    Rel.empty s1
+                in
+                let r1 = Rel.of_list s1 and r2 = Rel.of_list s2 in
+                check rel
+                  (Rel.to_string r1 ^ "." ^ Rel.to_string r2)
+                  expected (Rel.compose r1 r2))
+              all_subsets)
+          all_subsets);
+    tc "converse table: all 32 sets swap Lt and Gt member-wise" (fun () ->
+        let per_basic = function
+          | Rel.Lt -> Rel.Gt
+          | Rel.Gt -> Rel.Lt
+          | (Rel.Eq | Rel.Ov | Rel.Dj) as b -> b
+        in
+        List.iter
+          (fun s ->
+            let r = Rel.of_list s in
+            check rel (Rel.to_string r)
+              (Rel.of_list (List.map per_basic s))
+              (Rel.converse r))
+          all_subsets);
+    tc "of_bits inverts the int coercion" (fun () ->
+        List.iter
+          (fun s ->
+            let r = Rel.of_list s in
+            check rel (Rel.to_string r) r (Rel.of_bits (r :> int));
+            check rel "high bits ignored" r (Rel.of_bits ((r :> int) lor 0x7c0)))
+          all_subsets);
+  ]
+
 let () =
   Alcotest.run "rel"
     [
       ("sets", set_tests);
       ("converse", converse_tests);
       ("composition", composition_tests);
+      ("tables", table_tests);
       ("extents", extent_tests);
       ("minimality", minimality_tests);
       ("assertions", assertion_tests);
